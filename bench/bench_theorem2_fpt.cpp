@@ -11,10 +11,15 @@
 //   * OutputSensitiveEvaluation: full answer computation;
 //   * EvalLowered: the plan-lowered per-coloring execution (the only path
 //     since the hand-rolled oracle's removal; the recorded-answer
-//     differential lives in tests/theorem2_recorded.inc).
+//     differential lives in tests/theorem2_recorded.inc);
+//   * EmployeeProjectFptThreads: the employee-project evaluation at width 1
+//     and 4 (colorings as scheduler tasks), asserting identical answers.
 // Workload: simple-path queries (the paper's Monien / color-coding special
 // case) on sparse random graphs, plus the employee-project query.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstdlib>
 
 #include "eval/inequality.hpp"
 #include "eval/naive.hpp"
@@ -157,6 +162,39 @@ BENCHMARK(BM_EmployeeProjectFpt)
     ->Range(1000, 64000)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
+
+// The same evaluation at engine width 1 and 4: with a parallel runtime each
+// coloring is a scheduler task. The answer at every width must equal the
+// width-1 answer byte for byte; a mismatch aborts the binary.
+void BM_EmployeeProjectFptThreads(benchmark::State& state) {
+  int employees = static_cast<int>(state.range(0));
+  size_t threads = static_cast<size_t>(state.range(1));
+  Database db = EmployeeProjects(employees, employees / 10, 1, 4, /*seed=*/7);
+  ConjunctiveQuery q = MultiProjectQuery();
+  const Relation expected = IneqEvaluate(db, q, McOptions(6.0)).ValueOrDie();
+  TaskScheduler scheduler(threads);
+  IneqOptions options = McOptions(6.0);
+  options.runtime.scheduler = &scheduler;
+  IneqStats stats;
+  for (auto _ : state) {
+    auto r = IneqEvaluate(db, q, options, &stats);
+    if (!r.ok() || r.value().data() != expected.data() ||
+        r.value().size() != expected.size()) {
+      std::fprintf(stderr,
+                   "FATAL: threads=%zu answer differs from threads=1\n",
+                   threads);
+      std::exit(1);
+    }
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["employees"] = employees;
+  state.counters["threads"] = static_cast<double>(threads);
+  state.counters["colorings"] = static_cast<double>(stats.family_size);
+}
+BENCHMARK(BM_EmployeeProjectFptThreads)
+    ->ArgsProduct({{4000, 16000}, {1, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_EmployeeProjectNaive(benchmark::State& state) {
   int employees = static_cast<int>(state.range(0));

@@ -290,6 +290,7 @@ Result<Relation> Engine::Run(const PositiveQuery& q) const {
   eff.runtime.query_ctx = qc;
   eff.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
   eff.vectorize = options_.vectorize;
+  eff.wcoj = options_.wcoj;
   const bool counting = q.fo().answer.counting();
   if (counting) m_.counting_queries->Increment();
   auto result = counting ? EvaluatePositiveCount(*db_, q, eff, &stats_.ucq)

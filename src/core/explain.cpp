@@ -233,14 +233,6 @@ std::string ExplainConjunctive(const ConjunctiveQuery& q, const Database* db) {
   return oss.str();
 }
 
-std::string ExplainPositive(const PositiveQuery& q, const Database* db) {
-  std::ostringstream oss;
-  oss << "query: " << q.ToString() << "\n";
-  oss << ClassifyPositive(q).ToString();
-  if (db != nullptr) AppendPlanSection(&oss, RenderPositivePlan(*db, q));
-  return oss.str();
-}
-
 std::string ExplainFirstOrder(const FirstOrderQuery& q, const Database* db) {
   std::ostringstream oss;
   oss << "query: " << q.ToString() << "\n";

@@ -20,8 +20,6 @@ namespace paraquery {
 std::string ExplainConjunctive(const ConjunctiveQuery& q,
                                const Database* db = nullptr);
 
-std::string ExplainPositive(const PositiveQuery& q,
-                            const Database* db = nullptr);
 std::string ExplainFirstOrder(const FirstOrderQuery& q,
                               const Database* db = nullptr);
 std::string ExplainDatalog(const DatalogProgram& p,

@@ -1,15 +1,19 @@
 #include "eval/inequality.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "common/fault_injection.hpp"
 #include "eval/common.hpp"
 #include "hashing/coloring.hpp"
-#include "obs/trace.hpp"
 #include "hypergraph/join_tree.hpp"
+#include "obs/analyze.hpp"
+#include "obs/trace.hpp"
 #include "plan/executor.hpp"
 #include "query/ineq_formula.hpp"
 #include "relational/ops.hpp"
@@ -285,8 +289,7 @@ std::vector<Value> GroundSet(const Plan& p) {
   return std::vector<Value>(ground.begin(), ground.end());
 }
 
-Result<ColoringFamily> MakeFamily(const Plan& p, const IneqOptions& options,
-                                  IneqStats* stats) {
+Result<ColoringFamily> MakeFamily(const Plan& p, const IneqOptions& options) {
   ColoringFamily family = ColoringFamily::MonteCarlo(
       p.hash_range, options.mc_error_exponent, options.seed);
   if (p.hash_range > 1 && options.driver != IneqOptions::Driver::kMonteCarlo) {
@@ -299,40 +302,86 @@ Result<ColoringFamily> MakeFamily(const Plan& p, const IneqOptions& options,
       return certified.status();
     }
   }
-  if (stats != nullptr) {
-    stats->k = p.hash_range;
-    stats->i1_atoms = p.i1.size();
-    stats->i2_atoms = p.i2_count;
-    stats->family_size = family.size();
-    stats->certified = family.certified();
-  }
   return family;
 }
 
-// S'_j: extends S_j with primed columns x' = h(x) for x ∈ U_j ∩ V1.
-NamedRelation ExtendHashed(const Plan& p, const NamedRelation& s,
-                           const ColoringFamily& family, size_t member) {
-  std::vector<int> v1_cols;
-  std::vector<AttrId> attrs = s.attrs();
-  for (size_t i = 0; i < s.attrs().size(); ++i) {
-    if (IsV1(p, s.attrs()[i])) {
-      v1_cols.push_back(static_cast<int>(i));
-      attrs.push_back(Prime(*p.q, s.attrs()[i]));
+// Layout of one hash-extended input S'_j, fixed per compiled query.
+struct HashedSlot {
+  // S_j columns copied into S'_j, in S_j order. When S_j has V1 columns,
+  // a column whose variable no other atom and no head term reads is left
+  // out: the lowered DAGs only carry it along (its color stays).
+  std::vector<int> keep_cols;
+  // S_j columns of V1 variables; their colors follow the kept columns.
+  std::vector<int> hash_cols;
+  std::vector<AttrId> attrs;  // S'_j attributes: kept, then primed
+  // An earlier slot over the same stored rows with the same columns: S'_j
+  // is that slot's S' relabeled onto this atom's variables (-1: build it).
+  int same_as = -1;
+};
+
+// Whether two S_j relations are views of the very same stored rows.
+bool SameStoredRows(const Relation& a, const Relation& b) {
+  if (a.arity() != b.arity() || a.size() != b.size()) return false;
+  if (a.empty()) return true;
+  return a.SharesStorageWith(b) && a.Row(0).data() == b.Row(0).data();
+}
+
+std::vector<HashedSlot> LayoutHashedSlots(const Plan& p) {
+  const ConjunctiveQuery& q = *p.q;
+  const std::vector<VarId> head = q.HeadVariables();
+  std::vector<int> atoms_of(q.NumVariables(), 0);
+  for (const NamedRelation& s : p.base) {
+    for (AttrId a : s.attrs()) ++atoms_of[a];
+  }
+  std::vector<HashedSlot> slots(p.base.size());
+  for (size_t j = 0; j < p.base.size(); ++j) {
+    const NamedRelation& s = p.base[j];
+    HashedSlot& slot = slots[j];
+    for (size_t i = 0; i < s.arity(); ++i) {
+      if (IsV1(p, s.attrs()[i])) slot.hash_cols.push_back(static_cast<int>(i));
+    }
+    for (size_t i = 0; i < s.arity(); ++i) {
+      const AttrId a = s.attrs()[i];
+      if (slot.hash_cols.empty() || atoms_of[a] > 1 ||
+          std::find(head.begin(), head.end(), a) != head.end()) {
+        slot.keep_cols.push_back(static_cast<int>(i));
+        slot.attrs.push_back(a);
+      }
+    }
+    for (int col : slot.hash_cols) {
+      slot.attrs.push_back(Prime(q, s.attrs()[col]));
+    }
+    if (slot.hash_cols.empty()) continue;  // S'_j = S_j: shared already
+    for (size_t i = 0; i < j; ++i) {
+      if (slots[i].same_as < 0 && slots[i].keep_cols == slot.keep_cols &&
+          slots[i].hash_cols == slot.hash_cols &&
+          SameStoredRows(p.base[i].rel(), s.rel())) {
+        slot.same_as = static_cast<int>(i);
+        break;
+      }
     }
   }
+  return slots;
+}
+
+// S'_j for one coloring: the kept S_j columns followed by the colors
+// x' = h(x) of its V1 columns.
+NamedRelation ExtendHashed(const NamedRelation& s, const HashedSlot& slot,
+                           const ColoringFamily& family, size_t member) {
   // No V1 column: S'_j = S_j for every coloring — share the rows instead of
   // copying them per coloring.
-  if (v1_cols.empty()) return s;
-  NamedRelation out{attrs};
-  out.rel().Reserve(s.size());
-  ValueVec row(attrs.size());
+  if (slot.hash_cols.empty()) return s;
+  std::vector<Value> data;
+  data.reserve(s.size() * slot.attrs.size());
   for (size_t r = 0; r < s.size(); ++r) {
-    for (size_t i = 0; i < s.arity(); ++i) row[i] = s.rel().At(r, i);
-    for (size_t i = 0; i < v1_cols.size(); ++i) {
-      row[s.arity() + i] = family.Color(member, s.rel().At(r, v1_cols[i]));
+    for (int col : slot.keep_cols) data.push_back(s.rel().At(r, col));
+    for (int col : slot.hash_cols) {
+      data.push_back(family.Color(member, s.rel().At(r, col)));
     }
-    out.rel().Add(row);
   }
+  NamedRelation out{slot.attrs, Relation(slot.attrs.size(), std::move(data))};
+  // Left-out columns can leave equal rows behind; the DAGs want a set.
+  if (slot.keep_cols.size() < s.arity()) out.rel().HashDedup();
   return out;
 }
 
@@ -353,11 +402,34 @@ bool IsI1Pair(const Plan& p, VarId a, VarId b) {
 // valid for the cache entry's lifetime).
 // ---------------------------------------------------------------------------
 
+// The IneqOptions fields a coloring family depends on.
+struct FamilyKey {
+  IneqOptions::Driver driver;
+  uint64_t seed;
+  double mc_error_exponent;
+  uint64_t certified_max_subsets;
+  size_t certified_max_members;
+
+  explicit FamilyKey(const IneqOptions& o)
+      : driver(o.driver),
+        seed(o.seed),
+        mc_error_exponent(o.mc_error_exponent),
+        certified_max_subsets(o.certified_max_subsets),
+        certified_max_members(o.certified_max_members) {}
+  bool operator==(const FamilyKey&) const = default;
+};
+
 struct IneqCompiled {
   ConjunctiveQuery query;   // owned copy the analysis points into
   IneqFormula formula;      // owned copy (formula mode only)
   bool formula_mode = false;
   Plan analysis;            // q/formula point at the members above
+  std::vector<HashedSlot> slots;  // S'_j layouts, one per body atom
+  // The coloring family certified on the S_j above, built on first use and
+  // kept for the entry's lifetime (a database change retires the entry).
+  std::mutex family_mutex;
+  std::optional<FamilyKey> family_key;
+  std::shared_ptr<const ColoringFamily> family;
   // Lowered DAGs over scan slots 0..m-1 = S'_j (ExtendHashed order):
   // Algorithm 1 (upward joins + I1 selects) and the full evaluation
   // (+ downward semijoins + upward join-and-project + head projection).
@@ -367,20 +439,7 @@ struct IneqCompiled {
   // input slot of eval_root (the upward pass cannot see φ, so the driver
   // filters between the passes).
   int phi_slot = -1;
-  // Query variables plus primed names (x') for rendering the DAGs.
-  VarTable render_vars;
 };
-
-// S'_j scan attrs: the base S_j attrs followed by the primed columns, in
-// ExtendHashed's order.
-std::vector<AttrId> HashedSlotAttrs(const Plan& p, size_t j) {
-  const NamedRelation& s = p.base[j];
-  std::vector<AttrId> attrs = s.attrs();
-  for (size_t i = 0; i < s.attrs().size(); ++i) {
-    if (IsV1(p, s.attrs()[i])) attrs.push_back(Prime(*p.q, s.attrs()[i]));
-  }
-  return attrs;
-}
 
 std::string ScanLabel(const Plan& p, size_t j) {
   const ConjunctiveQuery& q = *p.q;
@@ -412,8 +471,7 @@ Status LowerPlans(IneqCompiled* c) {
 
   std::vector<PlanNodePtr> cur(m);
   for (size_t j = 0; j < m; ++j) {
-    cur[j] = MakeScan(static_cast<int>(j), HashedSlotAttrs(p, j),
-                      ScanLabel(p, j),
+    cur[j] = MakeScan(static_cast<int>(j), c->slots[j].attrs, ScanLabel(p, j),
                       static_cast<double>(p.base[j].size()));
   }
 
@@ -466,10 +524,20 @@ Status LowerPlans(IneqCompiled* c) {
                           std::move(pred));
   }
 #ifndef NDEBUG
+  // P_j carries Y_j minus the S_j columns left out of S'_j (Lemma 1).
   for (size_t j = 0; j < m; ++j) {
     std::vector<AttrId> sorted = cur[j]->attrs;
     std::sort(sorted.begin(), sorted.end());
-    PQ_DCHECK(sorted == p.y[j],
+    std::vector<AttrId> expected;
+    for (AttrId a : p.y[j]) {
+      const std::vector<AttrId>& base = p.base[j].attrs();
+      const std::vector<AttrId>& kept = c->slots[j].attrs;
+      if (std::find(base.begin(), base.end(), a) == base.end() ||
+          std::find(kept.begin(), kept.end(), a) != kept.end()) {
+        expected.push_back(a);
+      }
+    }
+    PQ_DCHECK(sorted == expected,
               "lowered P_j attributes must equal Y_j (Lemma 1)");
   }
 #endif
@@ -531,16 +599,16 @@ Status LowerPlans(IneqCompiled* c) {
   return Status::OK();
 }
 
-void BuildRenderVars(IneqCompiled* c) {
-  const ConjunctiveQuery& q = c->query;
-  for (VarId v = 0; v < q.NumVariables(); ++v) {
-    c->render_vars.Intern(q.vars.name(v));
-  }
+// Query variables plus primed names (x') for rendering the DAGs.
+VarTable RenderVars(const ConjunctiveQuery& q) {
+  VarTable vars;
+  for (VarId v = 0; v < q.NumVariables(); ++v) vars.Intern(q.vars.name(v));
   for (VarId v = 0; v < q.NumVariables(); ++v) {
     std::string primed = q.vars.name(v) + "'";
-    while (c->render_vars.Find(primed) >= 0) primed += "'";
-    c->render_vars.Intern(primed);
+    while (vars.Find(primed) >= 0) primed += "'";
+    vars.Intern(primed);
   }
+  return vars;
 }
 
 // Compiles a query (and optional formula) without consulting any cache.
@@ -557,8 +625,10 @@ Result<std::shared_ptr<IneqCompiled>> BuildCompiled(const Database& db,
                       c->formula_mode
                           ? BuildFormulaPlan(db, c->query, c->formula)
                           : BuildPlan(db, c->query));
-  if (!c->analysis.always_false) PQ_RETURN_NOT_OK(LowerPlans(c.get()));
-  BuildRenderVars(c.get());
+  if (!c->analysis.always_false) {
+    c->slots = LayoutHashedSlots(c->analysis);
+    PQ_RETURN_NOT_OK(LowerPlans(c.get()));
+  }
   return c;
 }
 
@@ -639,13 +709,17 @@ Result<std::shared_ptr<IneqCompiled>> GetCompiled(const Database& db,
 }
 
 // Hash-extended inputs S'_j for one coloring (slot order = body order).
-std::vector<NamedRelation> HashedInputs(const Plan& p,
+std::vector<NamedRelation> HashedInputs(const IneqCompiled& c,
                                         const ColoringFamily& family,
                                         size_t member) {
+  const Plan& p = c.analysis;
   std::vector<NamedRelation> inputs;
-  inputs.reserve(p.base.size());
-  for (const NamedRelation& s : p.base) {
-    inputs.push_back(ExtendHashed(p, s, family, member));
+  inputs.reserve(p.base.size() + 1);  // + the formula mode's φ slot
+  for (size_t j = 0; j < p.base.size(); ++j) {
+    const HashedSlot& slot = c.slots[j];
+    inputs.push_back(slot.same_as >= 0
+                         ? inputs[slot.same_as].WithAttrs(slot.attrs)
+                         : ExtendHashed(p.base[j], slot, family, member));
   }
   return inputs;
 }
@@ -672,122 +746,266 @@ NamedRelation FilterByFormula(const Plan& p, const NamedRelation& root,
   return filtered;
 }
 
-// Plan-routed decision driver.
-Result<bool> PlanDriveNonempty(const Database& db, IneqCompiled& c,
-                               const IneqOptions& options, IneqStats* stats,
-                               PlanStats* plan_stats) {
-  const Plan& p = c.analysis;
-  if (p.always_false) return false;
-  TraceSpan route_span(options.runtime.tracer, "route.theorem2");
-  PQ_ASSIGN_OR_RETURN(ColoringFamily family, MakeFamily(p, options, stats));
-  const ResourceLimits limits = options.EffectiveLimits();
-  PlanStats local;
-  size_t executed = 0;
-  bool found = false;
-  for (size_t m = 0; m < family.size() && !found; ++m) {
-    // Per-coloring poll: Theorem 2's k^k loop is the longest-running site
-    // in the engine, so deadline aborts must land between colorings.
-    PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
-    PQ_FAULT_POINT("ineq.coloring");
-    TraceSpan coloring_span(
-        options.runtime.tracer, "coloring",
-        options.runtime.tracer != nullptr ? internal::StrCat("m=", m)
-                                          : std::string());
-    if (stats != nullptr) stats->trials = m + 1;
-    std::vector<NamedRelation> inputs = HashedInputs(p, family, m);
-    std::vector<const NamedRelation*> ptrs;
-    ptrs.reserve(inputs.size());
-    for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-    ExecContext ctx{ptrs, limits, &local, options.runtime};
-    PQ_ASSIGN_OR_RETURN(NamedRelation root, ExecutePlan(*c.decision_root, ctx));
-    ++executed;
-    if (c.formula_mode && !root.empty()) {
-      root = FilterByFormula(p, root, family, m);
-      if (stats != nullptr) {
-        stats->peak_rows = std::max(stats->peak_rows, root.size());
-      }
+// The compiled family for `options`, built on first use (IneqStats is
+// filled on every call).
+Result<std::shared_ptr<const ColoringFamily>> CachedFamily(
+    IneqCompiled& c, const IneqOptions& options, IneqStats* stats) {
+  std::shared_ptr<const ColoringFamily> family;
+  {
+    std::lock_guard<std::mutex> lock(c.family_mutex);
+    const FamilyKey key(options);
+    if (c.family == nullptr || c.family_key != key) {
+      PQ_ASSIGN_OR_RETURN(ColoringFamily built,
+                          MakeFamily(c.analysis, options));
+      c.family = std::make_shared<const ColoringFamily>(std::move(built));
+      c.family_key = key;
     }
-    found = !root.empty();
-  }
-  if (options.plan_cache != nullptr && executed > 1) {
-    options.plan_cache->NoteReuse(executed - 1);
+    family = c.family;
   }
   if (stats != nullptr) {
+    stats->k = c.analysis.hash_range;
+    stats->i1_atoms = c.analysis.i1.size();
+    stats->i2_atoms = c.analysis.i2_count;
+    stats->family_size = family->size();
+    stats->certified = family->certified();
+  }
+  return family;
+}
+
+enum class Goal { kDecide, kEvaluate };
+
+// The DAGs one coloring executes: the compiled ones when colorings run one
+// at a time, else a private clone per in-flight task (an execution writes
+// the actuals of the nodes it runs).
+struct ColoringDags {
+  PlanNodePtr decision;
+  PlanNodePtr eval;
+};
+
+ColoringDags CloneDags(const IneqCompiled& c, Goal goal) {
+  if (goal == Goal::kDecide) return {ClonePlan(*c.decision_root), nullptr};
+  if (!c.formula_mode) return {nullptr, ClonePlan(*c.eval_root)};
+  // Formula evaluation runs both DAGs in one session; clone them together
+  // so the nodes they share stay shared.
+  std::vector<PlanNodePtr> roots =
+      ClonePlans({c.decision_root.get(), c.eval_root.get()});
+  return {roots[0], roots[1]};
+}
+
+// What one coloring contributed (its answers go to the AnswerUnion).
+struct ColoringResult {
+  bool ran = false;
+  Status status;
+  bool witness = false;      // decision: the coloring found a witness
+  PlanStats stats;
+  size_t filtered_rows = 0;  // formula mode: rows kept by φ at the root
+};
+
+// The union of the colorings' answers. Colorings add concurrently and in
+// any order: Finish sorts and deduplicates, so the result does not depend
+// on that order. The union is also deduplicated whenever it has doubled
+// since the last pass, so answers found by many colorings are held about
+// once rather than once per coloring.
+class AnswerUnion {
+ public:
+  explicit AnswerUnion(size_t arity) : rows_(arity) {}
+
+  void Add(const NamedRelation& bindings, const std::vector<Term>& head) {
+    Relation found = BindingsToAnswers(bindings, head);
+    if (found.empty()) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t r = 0; r < found.size(); ++r) rows_.Add(found.Row(r));
+    if (rows_.size() > 2 * std::max<size_t>(deduped_rows_, 1024)) {
+      rows_.HashDedup();
+      deduped_rows_ = rows_.size();
+    }
+  }
+
+  Relation Finish() {
+    rows_.SortAndDedup();
+    return std::move(rows_);
+  }
+
+ private:
+  std::mutex mutex_;
+  Relation rows_;
+  size_t deduped_rows_ = 0;
+};
+
+// Runs coloring `m`: binds its S'_j, executes the DAGs in `dags`, and
+// records what it found in `out` (evaluation: answers into `answers`).
+Status RunColoring(const IneqCompiled& c, const ColoringFamily& family,
+                   size_t m, const ColoringDags& dags,
+                   const ResourceLimits& limits, const RuntimeOptions& runtime,
+                   AnswerUnion* answers, ColoringResult* out) {
+  const Goal goal = answers == nullptr ? Goal::kDecide : Goal::kEvaluate;
+  // Per-coloring poll: Theorem 2's k^k loop is the longest-running site in
+  // the engine, so deadline aborts must land between colorings.
+  PQ_RETURN_NOT_OK(runtime.CheckInterrupt());
+  PQ_FAULT_POINT("ineq.coloring");
+  TraceSpan coloring_span(runtime.tracer, "coloring",
+                          runtime.tracer != nullptr ? internal::StrCat("m=", m)
+                                                    : std::string());
+  const Plan& p = c.analysis;
+  std::vector<NamedRelation> inputs = HashedInputs(c, family, m);
+  if (c.formula_mode) inputs.emplace_back();  // φ slot, bound after the filter
+  std::vector<const NamedRelation*> ptrs;
+  ptrs.reserve(inputs.size());
+  for (const NamedRelation& in : inputs) ptrs.push_back(&in);
+  // EXPLAIN ANALYZE files every execution under the compiled DAG, whichever
+  // copy ran it.
+  RuntimeOptions exec_runtime = runtime;
+  exec_runtime.analyze = nullptr;
+  auto note = [&](const PlanNode& ran, const PlanNodePtr& compiled) {
+    if (runtime.analyze != nullptr) {
+      const VarTable vars = RenderVars(c.query);
+      runtime.analyze->Note(ran, &vars, compiled.get());
+    }
+  };
+  ExecContext ctx{ptrs, limits, &out->stats, exec_runtime};
+
+  if (goal == Goal::kEvaluate && !c.formula_mode) {
+    Result<NamedRelation> bindings = ExecutePlan(*dags.eval, ctx);
+    note(*dags.eval, c.eval_root);
+    PQ_RETURN_NOT_OK(bindings.status());
+    answers->Add(bindings.value(), c.query.head);
+    return Status::OK();
+  }
+  // The upward pass (Algorithm 1), then φ at the root in formula mode. In
+  // formula evaluation one session serves both passes: the evaluation DAG
+  // reuses every P_j the upward pass computed.
+  std::optional<ExecSession> session;
+  if (goal == Goal::kEvaluate) session.emplace(ctx);
+  Result<NamedRelation> upward = session.has_value()
+                                     ? session->Run(*dags.decision)
+                                     : ExecutePlan(*dags.decision, ctx);
+  note(*dags.decision, c.decision_root);
+  PQ_ASSIGN_OR_RETURN(NamedRelation root, std::move(upward));
+  if (c.formula_mode && !root.empty()) {
+    root = FilterByFormula(p, root, family, m);
+    out->filtered_rows = root.size();
+  }
+  if (goal == Goal::kDecide || root.empty()) {
+    out->witness = !root.empty();
+    return Status::OK();
+  }
+  inputs.back() = std::move(root);
+  Result<NamedRelation> bindings = session->Run(*dags.eval);
+  note(*dags.eval, c.eval_root);
+  PQ_RETURN_NOT_OK(bindings.status());
+  answers->Add(bindings.value(), c.query.head);
+  return Status::OK();
+}
+
+// The one coloring runner behind all Theorem 2 entry points. Decision
+// (`answers` null) stops at the first witness coloring; evaluation unions
+// every coloring's answers into `answers`. With a parallel runtime and more
+// than one coloring, each coloring is a scheduler task executing its own
+// DAG clone sequentially inside; outcomes are resolved in coloring order,
+// so answers, errors, `trials` and PlanStats match the one-at-a-time loop
+// exactly. Returns whether a witness was found (decision).
+Result<bool> DriveColorings(IneqCompiled& c, const IneqOptions& options,
+                            IneqStats* stats, PlanStats* plan_stats,
+                            AnswerUnion* answers) {
+  if (c.analysis.always_false) return false;
+  const Goal goal = answers == nullptr ? Goal::kDecide : Goal::kEvaluate;
+  TraceSpan route_span(options.runtime.tracer, "route.theorem2");
+  PQ_ASSIGN_OR_RETURN(std::shared_ptr<const ColoringFamily> family,
+                      CachedFamily(c, options, stats));
+  const ResourceLimits limits = options.EffectiveLimits();
+  const size_t n = family->size();
+  std::vector<ColoringResult> results(n);
+  // A coloring past this index is not needed: an earlier one failed, or
+  // (decision) found a witness.
+  auto stops = [goal](const ColoringResult& r) {
+    return !r.status.ok() || (goal == Goal::kDecide && r.witness);
+  };
+  if (!options.runtime.parallel() || n <= 1) {
+    const ColoringDags dags{c.decision_root, c.eval_root};
+    for (size_t m = 0; m < n; ++m) {
+      ColoringResult& r = results[m];
+      r.ran = true;
+      r.status = RunColoring(c, *family, m, dags, limits, options.runtime,
+                             answers, &r);
+      if (stops(r)) break;
+    }
+  } else {
+    std::atomic<size_t> stop_at{n};
+    std::mutex pool_mutex;
+    std::vector<ColoringDags> pool;  // idle clones, at most one per task
+    RuntimeOptions inner = options.runtime;
+    inner.scheduler = nullptr;
+    TaskGroup group(options.runtime.scheduler);
+    for (size_t m = 0; m < n; ++m) {
+      group.Spawn([&, m] {
+        if (m > stop_at.load()) return;
+        ColoringDags dags;
+        {
+          std::lock_guard<std::mutex> lock(pool_mutex);
+          if (!pool.empty()) {
+            dags = std::move(pool.back());
+            pool.pop_back();
+          }
+        }
+        if (dags.decision == nullptr && dags.eval == nullptr) {
+          dags = CloneDags(c, goal);
+        }
+        ColoringResult& r = results[m];
+        r.ran = true;
+        r.status =
+            RunColoring(c, *family, m, dags, limits, inner, answers, &r);
+        if (stops(r)) {
+          size_t seen = stop_at.load();
+          while (m < seen && !stop_at.compare_exchange_weak(seen, m)) {
+          }
+        }
+        std::lock_guard<std::mutex> lock(pool_mutex);
+        pool.push_back(std::move(dags));
+      });
+    }
+    group.Wait();
+  }
+
+  // Resolve in coloring order: exactly the colorings the one-at-a-time
+  // loop would have run, and its first error.
+  PlanStats local;
+  size_t trials = 0;
+  bool found = false;
+  for (size_t m = 0; m < n && !found; ++m) {
+    const ColoringResult& r = results[m];
+    if (!r.ran) break;
+    PQ_RETURN_NOT_OK(r.status);
+    trials = m + 1;
+    local.Merge(r.stats);
+    found = r.witness;
+    if (stats != nullptr) {
+      stats->peak_rows = std::max(stats->peak_rows, r.filtered_rows);
+    }
+  }
+  // One compile, `trials` executions: every re-binding past the first is
+  // the cache's per-coloring reuse.
+  if (options.plan_cache != nullptr && trials > 1) {
+    options.plan_cache->NoteReuse(trials - 1);
+  }
+  if (stats != nullptr) {
+    stats->trials = trials;
     stats->peak_rows = std::max(stats->peak_rows, local.peak_intermediate_rows);
   }
   if (plan_stats != nullptr) plan_stats->Merge(local);
-  (void)db;
   return found;
 }
 
-// Plan-routed evaluation driver.
-Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
-                                   const IneqOptions& options,
+Result<bool> PlanDriveNonempty(IneqCompiled& c, const IneqOptions& options,
+                               IneqStats* stats, PlanStats* plan_stats) {
+  return DriveColorings(c, options, stats, plan_stats, nullptr);
+}
+
+Result<Relation> PlanDriveEvaluate(IneqCompiled& c, const IneqOptions& options,
                                    IneqStats* stats, PlanStats* plan_stats) {
-  const Plan& p = c.analysis;
-  Relation answers(c.query.head.size());
-  if (p.always_false) return answers;
-  TraceSpan route_span(options.runtime.tracer, "route.theorem2");
-  PQ_ASSIGN_OR_RETURN(ColoringFamily family, MakeFamily(p, options, stats));
-  const ResourceLimits limits = options.EffectiveLimits();
-  PlanStats local;
-  size_t colorings_run = 0;
-  for (size_t m = 0; m < family.size(); ++m) {
-    PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
-    PQ_FAULT_POINT("ineq.coloring");
-    TraceSpan coloring_span(
-        options.runtime.tracer, "coloring",
-        options.runtime.tracer != nullptr ? internal::StrCat("m=", m)
-                                          : std::string());
-    if (stats != nullptr) stats->trials = m + 1;
-    std::vector<NamedRelation> inputs = HashedInputs(p, family, m);
-    if (c.formula_mode) {
-      // Pass 1, then φ at the root, then the evaluation DAG reading the
-      // filtered root through its extra slot. One ExecSession per coloring:
-      // the evaluation pass reuses every P_j the upward pass computed.
-      inputs.emplace_back();  // φ-slot placeholder, bound after the filter
-      std::vector<const NamedRelation*> ptrs;
-      ptrs.reserve(inputs.size());
-      for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-      ExecContext ctx{ptrs, limits, &local, options.runtime};
-      ExecSession session(ctx);
-      PQ_ASSIGN_OR_RETURN(NamedRelation root, session.Run(*c.decision_root));
-      ++colorings_run;
-      if (root.empty()) continue;
-      NamedRelation filtered = FilterByFormula(p, root, family, m);
-      if (stats != nullptr) {
-        stats->peak_rows = std::max(stats->peak_rows, filtered.size());
-      }
-      if (filtered.empty()) continue;
-      inputs.back() = std::move(filtered);
-      PQ_ASSIGN_OR_RETURN(NamedRelation bindings, session.Run(*c.eval_root));
-      Relation qh = BindingsToAnswers(bindings, c.query.head);
-      for (size_t r = 0; r < qh.size(); ++r) answers.Add(qh.Row(r));
-    } else {
-      std::vector<const NamedRelation*> ptrs;
-      ptrs.reserve(inputs.size());
-      for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-      ExecContext ctx{ptrs, limits, &local, options.runtime};
-      PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
-                          ExecutePlan(*c.eval_root, ctx));
-      ++colorings_run;
-      Relation qh = BindingsToAnswers(bindings, c.query.head);
-      for (size_t r = 0; r < qh.size(); ++r) answers.Add(qh.Row(r));
-    }
-  }
-  // One compile, `colorings_run` executions: every re-binding past the
-  // first is the cache's per-coloring reuse (counted per coloring, not per
-  // plan pass).
-  if (options.plan_cache != nullptr && colorings_run > 1) {
-    options.plan_cache->NoteReuse(colorings_run - 1);
-  }
-  if (stats != nullptr) {
-    stats->peak_rows = std::max(stats->peak_rows, local.peak_intermediate_rows);
-  }
-  if (plan_stats != nullptr) plan_stats->Merge(local);
-  (void)db;
-  answers.SortAndDedup();
-  return answers;
+  AnswerUnion answers(c.query.head.size());
+  PQ_RETURN_NOT_OK(
+      DriveColorings(c, options, stats, plan_stats, &answers).status());
+  return answers.Finish();
 }
 
 }  // namespace
@@ -796,14 +1014,14 @@ Result<bool> IneqNonempty(const Database& db, const ConjunctiveQuery& q,
                           const IneqOptions& options, IneqStats* stats,
                           PlanStats* plan_stats) {
   PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, nullptr, options));
-  return PlanDriveNonempty(db, *compiled, options, stats, plan_stats);
+  return PlanDriveNonempty(*compiled, options, stats, plan_stats);
 }
 
 Result<Relation> IneqEvaluate(const Database& db, const ConjunctiveQuery& q,
                               const IneqOptions& options, IneqStats* stats,
                               PlanStats* plan_stats) {
   PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, nullptr, options));
-  return PlanDriveEvaluate(db, *compiled, options, stats, plan_stats);
+  return PlanDriveEvaluate(*compiled, options, stats, plan_stats);
 }
 
 Result<bool> IneqFormulaNonempty(const Database& db, const ConjunctiveQuery& q,
@@ -811,7 +1029,7 @@ Result<bool> IneqFormulaNonempty(const Database& db, const ConjunctiveQuery& q,
                                  const IneqOptions& options, IneqStats* stats,
                                  PlanStats* plan_stats) {
   PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, options));
-  return PlanDriveNonempty(db, *compiled, options, stats, plan_stats);
+  return PlanDriveNonempty(*compiled, options, stats, plan_stats);
 }
 
 Result<Relation> IneqFormulaEvaluate(const Database& db,
@@ -821,7 +1039,7 @@ Result<Relation> IneqFormulaEvaluate(const Database& db,
                                      IneqStats* stats,
                                      PlanStats* plan_stats) {
   PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, options));
-  return PlanDriveEvaluate(db, *compiled, options, stats, plan_stats);
+  return PlanDriveEvaluate(*compiled, options, stats, plan_stats);
 }
 
 Result<bool> IneqContains(const Database& db, const ConjunctiveQuery& q,
@@ -847,7 +1065,8 @@ Result<std::string> IneqPlanText(const Database& db,
       << " pushed into scans;\n"
       << "-- one residual plan compiled, re-executed per coloring on "
          "re-bound S' inputs (primed columns = colors)\n";
-  oss << RenderPlan(*compiled->eval_root, &compiled->render_vars);
+  const VarTable vars = RenderVars(compiled->query);
+  oss << RenderPlan(*compiled->eval_root, &vars);
   return oss.str();
 }
 

@@ -29,9 +29,11 @@
 // (upward joins with the I1 checks as Select nodes, downward semijoins,
 // upward join-and-project), and every coloring re-executes that one plan
 // through the shared executor on re-bound hash-extended inputs S'_j — so
-// the Theorem 2 engine inherits morsel parallelism, ResourceLimits,
+// the Theorem 2 engine inherits the parallel runtime, ResourceLimits,
 // PlanStats, and .plan rendering, and the per-coloring re-execution is the
 // plan cache's headline win (one plan compiled, k^k colorings executed).
+// Under a parallel runtime the colorings themselves run as scheduler
+// tasks; the family is cached with the compiled plan.
 // The historical hand-rolled evaluation is gone; its recorded answers live
 // on as the differential fixture tests/theorem2_recorded.inc.
 #ifndef PARAQUERY_EVAL_INEQUALITY_H_
@@ -70,15 +72,19 @@ struct IneqOptions {
   /// per-coloring plan execution (each coloring gets a fresh max_steps
   /// budget: the bound is per residual query, not per family).
   ResourceLimits limits;
-  /// Parallel runtime binding: each coloring's plan execution may go
-  /// morsel/structurally parallel; the coloring loop itself is sequential
-  /// (decision mode short-circuits at the first witness coloring).
+  /// Parallel runtime binding: with a parallel scheduler and more than one
+  /// coloring, each coloring is a scheduler task executing its own copy of
+  /// the plan sequentially; a one-member family runs its plan morsel/
+  /// structurally parallel instead. Outcomes resolve in coloring order
+  /// (decision cancels the colorings after the first witness), so answers
+  /// and stats are identical at any width.
   RuntimeOptions runtime;
   /// Cross-query plan cache (optional, engine-owned): the compiled residual
   /// plan — S_j inputs, join tree, Y sets, lowered DAGs — is keyed by the
-  /// canonical query signature (+ formula) and database generation. Each
-  /// additional coloring executed against the compiled plan is credited as
-  /// a cache hit (PlanCache::NoteReuse).
+  /// canonical query signature (+ formula) and database generation. The
+  /// entry also keeps the coloring family, built on first use for the
+  /// family options above. Each additional coloring executed against the
+  /// compiled plan is credited as a cache hit (PlanCache::NoteReuse).
   PlanCache* plan_cache = nullptr;
   /// DEPRECATED alias for limits.max_rows (the historical per-join guard).
   /// Used only when limits.max_rows == 0.
@@ -98,7 +104,8 @@ struct IneqStats {
   size_t i1_atoms = 0;        // inequalities handled by color coding
   size_t i2_atoms = 0;        // inequalities pushed into selections
   size_t family_size = 0;     // colorings available
-  size_t trials = 0;          // colorings actually run
+  size_t trials = 0;          // colorings up to the first witness (all
+                              // of them for evaluation), at any width
   bool certified = false;     // family certified k-perfect (exact result)
   size_t peak_rows = 0;       // largest intermediate P_u
 };

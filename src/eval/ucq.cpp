@@ -67,6 +67,7 @@ Result<Relation> EvaluateDisjunct(const Database& db,
   naive.runtime = options.runtime;
   naive.plan_cache = options.plan_cache;
   naive.vectorize = options.vectorize;
+  naive.wcoj = options.wcoj;
   return NaiveEvaluateCq(db, cq, naive, plan);
 }
 

@@ -42,6 +42,9 @@ struct UcqOptions {
   /// NaiveOptions::vectorize). Acyclic disjuncts use Semijoin schedules,
   /// which are never vectorized.
   bool vectorize = true;
+  /// Forwarded to every cyclic disjunct's plan-based evaluation (see
+  /// NaiveOptions::wcoj): false keeps binary joins inside cyclic bags.
+  bool wcoj = true;
   /// DEPRECATED alias for limits.max_steps (historically only applied to
   /// cyclic disjuncts). Used only when limits.max_steps == 0.
   uint64_t naive_max_steps = 0;

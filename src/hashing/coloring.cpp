@@ -42,43 +42,53 @@ Result<ColoringFamily> ColoringFamily::Certified(
         "Certified coloring family: C(", n, ",", k, ") = ", num_subsets,
         " exceeds limit ", max_subsets));
   }
-  // Collect all k-subsets (by ground indices), then cover them greedily with
-  // seeded random members.
-  std::vector<std::vector<int>> uncovered;
-  uncovered.reserve(num_subsets);
+  // All k-subsets as one flat table of ground indices (k ints per row),
+  // covered greedily with seeded random members. Each candidate colors the
+  // n ground values once; a subset is then covered iff its k colors are
+  // distinct, which for k < 64 is one bitmask pass over its row.
+  const size_t kk = static_cast<size_t>(k);
+  std::vector<int> uncovered;
+  uncovered.reserve(num_subsets * kk);
   ForEachKSubset(n, k, [&](const std::vector<int>& subset) {
-    uncovered.push_back(subset);
+    uncovered.insert(uncovered.end(), subset.begin(), subset.end());
     return true;
   });
 
   Rng rng(seed);
   std::vector<uint64_t> seeds;
-  std::vector<Value> colors(k);
+  std::vector<Value> colors(n);
+  auto injective = [&](const int* row) {
+    if (k < 64) {
+      uint64_t seen = 0;
+      for (size_t j = 0; j < kk; ++j) {
+        const uint64_t bit = uint64_t{1} << (colors[row[j]] - 1);
+        if ((seen & bit) != 0) return false;
+        seen |= bit;
+      }
+      return true;
+    }
+    for (size_t j = 0; j < kk; ++j) {
+      for (size_t l = 0; l < j; ++l) {
+        if (colors[row[l]] == colors[row[j]]) return false;
+      }
+    }
+    return true;
+  };
   while (!uncovered.empty()) {
     if (seeds.size() >= max_members) {
       return Status::ResourceExhausted(internal::StrCat(
           "Certified coloring family: exceeded ", max_members, " members with ",
-          uncovered.size(), " subsets uncovered"));
+          uncovered.size() / kk, " subsets uncovered"));
     }
     uint64_t s = rng.Next();
-    ColoringFamily probe(k, {s}, false);
+    for (int i = 0; i < n; ++i) colors[i] = SeedColor(s, k, ground[i]);
     size_t kept = 0;
-    for (size_t i = 0; i < uncovered.size(); ++i) {
-      bool injective = true;
-      for (int j = 0; j < k; ++j) {
-        colors[j] = probe.Color(0, ground[uncovered[i][j]]);
-        for (int l = 0; l < j; ++l) {
-          if (colors[l] == colors[j]) {
-            injective = false;
-            break;
-          }
-        }
-        if (!injective) break;
+    for (size_t i = 0; i < uncovered.size(); i += kk) {
+      if (injective(&uncovered[i])) continue;
+      if (kept != i) {
+        std::copy_n(uncovered.begin() + i, kk, uncovered.begin() + kept);
       }
-      if (!injective) {
-        if (kept != i) uncovered[kept] = std::move(uncovered[i]);
-        ++kept;
-      }
+      kept += kk;
     }
     bool useful = kept < uncovered.size();
     uncovered.resize(kept);

@@ -52,11 +52,7 @@ class ColoringFamily {
 
   /// Color of `v` under member `member`, in {1..k} (always 1 when k <= 1).
   Value Color(size_t member, Value v) const {
-    if (k_ <= 1) return 1;
-    return 1 + static_cast<Value>(HashValue(static_cast<Value>(
-                                      static_cast<uint64_t>(v) ^
-                                      seeds_[member])) %
-                                  static_cast<uint64_t>(k_));
+    return k_ <= 1 ? 1 : SeedColor(seeds_[member], k_, v);
   }
 
   /// True if `member` assigns pairwise-distinct colors to `values`.
@@ -69,6 +65,14 @@ class ColoringFamily {
  private:
   ColoringFamily(int k, std::vector<uint64_t> seeds, bool certified)
       : k_(k), seeds_(std::move(seeds)), certified_(certified) {}
+
+  // The coloring a member with hash seed `seed` applies (k >= 2).
+  static Value SeedColor(uint64_t seed, int k, Value v) {
+    return 1 + static_cast<Value>(
+                   HashValue(static_cast<Value>(static_cast<uint64_t>(v) ^
+                                                seed)) %
+                   static_cast<uint64_t>(k));
+  }
 
   int k_;
   std::vector<uint64_t> seeds_;

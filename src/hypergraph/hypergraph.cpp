@@ -17,14 +17,6 @@ int Hypergraph::AddEdge(std::vector<int> vertices) {
   return static_cast<int>(edges_.size()) - 1;
 }
 
-std::vector<std::vector<int>> Hypergraph::VertexToEdges() const {
-  std::vector<std::vector<int>> incidence(num_vertices_);
-  for (size_t e = 0; e < edges_.size(); ++e) {
-    for (int v : edges_[e]) incidence[v].push_back(static_cast<int>(e));
-  }
-  return incidence;
-}
-
 bool Hypergraph::EdgesIntersect(int a, int b) const {
   const auto& ea = edges_[a];
   const auto& eb = edges_[b];

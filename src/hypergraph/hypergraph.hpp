@@ -25,9 +25,6 @@ class Hypergraph {
   /// Sorted distinct vertex list of edge `e`.
   const std::vector<int>& edge(int e) const { return edges_[e]; }
 
-  /// For each vertex, the ids of edges containing it.
-  std::vector<std::vector<int>> VertexToEdges() const;
-
   /// True if edges `a` and `b` share at least one vertex.
   bool EdgesIntersect(int a, int b) const;
 

@@ -6,13 +6,15 @@
 
 namespace paraquery {
 
-void PlanCapture::Note(const PlanNode& root, const VarTable* vars) {
+void PlanCapture::Note(const PlanNode& root, const VarTable* vars,
+                       const PlanNode* key) {
   // Render outside the lock: RenderAnalyzedPlan only reads the plan, and
   // the executor guarantees one execution of a given root at a time.
   std::string render = RenderAnalyzedPlan(root, vars);
+  if (key == nullptr) key = &root;
   std::lock_guard<std::mutex> lock(mutex_);
   for (Entry& e : plans_) {
-    if (e.root == &root) {
+    if (e.root == key) {
       e.render = std::move(render);
       ++e.executions;
       return;
@@ -22,7 +24,7 @@ void PlanCapture::Note(const PlanNode& root, const VarTable* vars) {
     ++overflow_;
     return;
   }
-  plans_.push_back(Entry{&root, std::move(render), 1});
+  plans_.push_back(Entry{key, std::move(render), 1});
 }
 
 void PlanCapture::Clear() {

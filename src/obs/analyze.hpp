@@ -25,8 +25,12 @@ class VarTable;
 class PlanCapture {
  public:
   /// Snapshots the analyzed render of `root`. Thread-safe (parallel Datalog
-  /// firings execute plans concurrently).
-  void Note(const PlanNode& root, const VarTable* vars);
+  /// firings execute plans concurrently). `key`, when given, is the plan
+  /// the execution counts toward instead of `root`: a private clone run in
+  /// place of a shared plan (Theorem 2's concurrent colorings) files under
+  /// the plan it was cloned from.
+  void Note(const PlanNode& root, const VarTable* vars,
+            const PlanNode* key = nullptr);
 
   void Clear();
 

@@ -29,8 +29,13 @@ namespace {
 
 class Executor {
  public:
-  explicit Executor(const ExecContext& ctx)
-      : ctx_(ctx), pfor_(MakeParallelFor(ctx.runtime.scheduler)) {}
+  // `release_results`: drop each memoized node result once its last
+  // consumer (PlanNode::consumers) has read it. Off for ExecSession, whose
+  // later Runs may read any node again.
+  Executor(const ExecContext& ctx, bool release_results)
+      : ctx_(ctx),
+        pfor_(MakeParallelFor(ctx.runtime.scheduler)),
+        release_results_(release_results) {}
 
   Result<NamedRelation> Run(PlanNode& root) { return Exec(root, nullptr); }
 
@@ -40,6 +45,8 @@ class Executor {
     std::condition_variable cv;
     bool started = false;
     std::optional<Result<NamedRelation>> result;
+    // Reads left before the memoized result is dropped (release mode).
+    uint32_t reads_left = 0;
   };
 
   // Where an operator's produced rows are charged against the max_steps
@@ -89,12 +96,20 @@ class Executor {
   // committed consumer could fail a query that passes at threads=1. The
   // node is reset instead and the next arrival recomputes under its own
   // charge (a genuine overrun simply errors again there).
+  //
+  // Every call is one read by a consumer (a parent edge, or the caller for
+  // the root). In release mode the memo is dropped at the node's last read,
+  // so an intermediate lives only while a consumer still needs it. A read
+  // the count did not foresee finds the node reset and recomputes it.
   Result<NamedRelation> Exec(PlanNode& n, Charge* charge) {
     NodeState* state;
     {
       std::lock_guard<std::mutex> lock(states_mutex_);
       std::unique_ptr<NodeState>& slot = states_[&n];
-      if (slot == nullptr) slot = std::make_unique<NodeState>();
+      if (slot == nullptr) {
+        slot = std::make_unique<NodeState>();
+        slot->reads_left = std::max<uint32_t>(n.consumers, 1);
+      }
       state = slot.get();
     }
     std::unique_lock<std::mutex> lock(state->mutex);
@@ -103,7 +118,7 @@ class Executor {
         return state->result.has_value() || !state->started;
       });
     }
-    if (state->result.has_value()) return *state->result;
+    if (state->result.has_value()) return Read(state);
     state->started = true;
     lock.unlock();
     Result<NamedRelation> result = ComputeTimed(n, charge);
@@ -113,11 +128,24 @@ class Executor {
         result.status().code() == StatusCode::kResourceExhausted) {
       state->started = false;  // speculative budget error: allow recompute
     } else {
-      state->result = result;
+      state->result = std::move(result);
+      result = Read(state);
     }
     lock.unlock();
     state->cv.notify_all();
     return result;
+  }
+
+  // One consumer read of a published result (state->mutex held).
+  Result<NamedRelation> Read(NodeState* state) {
+    if (!release_results_ || state->reads_left == 0 ||
+        --state->reads_left > 0) {
+      return *state->result;
+    }
+    Result<NamedRelation> out = std::move(*state->result);
+    state->result.reset();
+    state->started = false;
+    return out;
   }
 
   bool Parallel() const { return ctx_.runtime.parallel(); }
@@ -741,6 +769,7 @@ class Executor {
   /// Bound over the runtime's scheduler (empty when sequential); threaded
   /// into RowIndex builds, HashDedup, and the vectorized pipeline stages.
   ParallelForFn pfor_;
+  const bool release_results_;
   std::mutex states_mutex_;
   std::unordered_map<const PlanNode*, std::unique_ptr<NodeState>> states_;
   std::mutex stats_mutex_;
@@ -754,7 +783,7 @@ class Executor {
 Result<NamedRelation> ExecutePlan(PlanNode& root, const ExecContext& ctx) {
   root.ResetActuals();
   Timer timer;
-  Executor ex(ctx);
+  Executor ex(ctx, /*release_results=*/true);
   auto result = ex.Run(root);
   if (ctx.stats != nullptr) ctx.stats->wall_seconds += timer.Seconds();
   // Snapshot the analyzed render before the next execution resets the
@@ -764,7 +793,8 @@ Result<NamedRelation> ExecutePlan(PlanNode& root, const ExecContext& ctx) {
 }
 
 struct ExecSession::Impl {
-  explicit Impl(const ExecContext& ctx) : executor(ctx), ctx(ctx) {}
+  explicit Impl(const ExecContext& ctx)
+      : executor(ctx, /*release_results=*/false), ctx(ctx) {}
   Executor executor;
   const ExecContext& ctx;
 };

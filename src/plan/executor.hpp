@@ -49,12 +49,13 @@ struct ExecContext {
 };
 
 /// Executes `root` once (shared nodes are evaluated a single time) and
-/// returns its result relation. Empty operator inputs short-circuit: the
-/// dependent operator returns its (statically known) empty output without
-/// running — and without counting — downstream kernels, reproducing the
-/// early-exit behavior of the hand-rolled evaluators this replaced (under a
-/// scheduler, concurrently started sibling subtrees may already have run;
-/// see above). Fixpoint nodes are rejected (their iteration belongs to the
+/// returns its result relation. A node's result is kept only until its
+/// last consumer (PlanNode::consumers) has read it. Empty operator inputs
+/// short-circuit: the dependent operator returns its (statically known)
+/// empty output without running — and without counting — downstream
+/// kernels, reproducing the early-exit behavior of the hand-rolled
+/// evaluators this replaced (under a scheduler, concurrently started
+/// sibling subtrees may already have run; see above). Fixpoint nodes are rejected (their iteration belongs to the
 /// Datalog engine, which executes the per-rule child plans itself).
 Result<NamedRelation> ExecutePlan(PlanNode& root, const ExecContext& ctx);
 
@@ -66,7 +67,8 @@ Result<NamedRelation> ExecutePlan(PlanNode& root, const ExecContext& ctx);
 /// upward pass. `ctx` (and the relations behind its input slots) must
 /// outlive the session; slots may be bound lazily as long as each is set
 /// before the first Run whose plan scans it. Limits span the session: one
-/// max_steps budget, actuals reset per session (not per Run).
+/// max_steps budget, actuals reset per session (not per Run). Node results
+/// are kept until the session ends (a later Run may read any of them).
 class ExecSession {
  public:
   explicit ExecSession(const ExecContext& ctx);

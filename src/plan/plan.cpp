@@ -13,6 +13,13 @@ namespace paraquery {
 
 namespace {
 
+// Counts one consumer per child edge of a freshly built node (see
+// PlanNode::consumers).
+PlanNodePtr Linked(PlanNodePtr n) {
+  for (const PlanNodePtr& c : n->children) ++c->consumers;
+  return n;
+}
+
 // Distinct-value estimate of attribute `a` at node `n` (< 0 = unknown).
 double DistinctOf(const PlanNode& n, AttrId a) {
   if (n.attr_distinct.size() != n.attrs.size()) return -1.0;
@@ -189,7 +196,7 @@ PlanNodePtr MakeSelect(PlanNodePtr child, Predicate predicate) {
   }
   n->predicate = std::move(predicate);
   n->children.push_back(std::move(child));
-  return n;
+  return Linked(std::move(n));
 }
 
 PlanNodePtr MakeProject(PlanNodePtr child, std::vector<AttrId> attrs,
@@ -208,7 +215,7 @@ PlanNodePtr MakeProject(PlanNodePtr child, std::vector<AttrId> attrs,
   }
   n->dedup = dedup;
   n->children.push_back(std::move(child));
-  return n;
+  return Linked(std::move(n));
 }
 
 PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
@@ -261,7 +268,7 @@ PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
   }
   n->children.push_back(std::move(left));
   n->children.push_back(std::move(right));
-  return n;
+  return Linked(std::move(n));
 }
 
 PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right) {
@@ -275,7 +282,7 @@ PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right) {
   }
   n->children.push_back(std::move(left));
   n->children.push_back(std::move(right));
-  return n;
+  return Linked(std::move(n));
 }
 
 PlanNodePtr MakeUnion(std::vector<PlanNodePtr> children,
@@ -293,7 +300,7 @@ PlanNodePtr MakeUnion(std::vector<PlanNodePtr> children,
   }
   n->est_rows = est;
   n->children = std::move(children);
-  return n;
+  return Linked(std::move(n));
 }
 
 PlanNodePtr MakeDedup(PlanNodePtr child) {
@@ -307,7 +314,7 @@ PlanNodePtr MakeDedup(PlanNodePtr child) {
     for (double& v : n->attr_distinct) v = CapDistinct(v, n->est_rows);
   }
   n->children.push_back(std::move(child));
-  return n;
+  return Linked(std::move(n));
 }
 
 PlanNodePtr MakeFixpoint(std::vector<PlanNodePtr> rule_plans,
@@ -316,7 +323,7 @@ PlanNodePtr MakeFixpoint(std::vector<PlanNodePtr> rule_plans,
   n->op = PlanOp::kFixpoint;
   n->label = std::move(label);
   n->children = std::move(rule_plans);
-  return n;
+  return Linked(std::move(n));
 }
 
 PlanNodePtr MakeMultiwayJoin(std::vector<PlanNodePtr> children,
@@ -358,7 +365,7 @@ PlanNodePtr MakeMultiwayJoin(std::vector<PlanNodePtr> children,
     }
   }
   n->children = std::move(children);
-  return n;
+  return Linked(std::move(n));
 }
 
 PlanNodePtr MakeAggregate(PlanNodePtr child, std::vector<AttrId> group_attrs) {
@@ -381,7 +388,7 @@ PlanNodePtr MakeAggregate(PlanNodePtr child, std::vector<AttrId> group_attrs) {
   n->attrs.push_back(kCountAttr);
   if (!n->attr_distinct.empty()) n->attr_distinct.push_back(-1.0);
   n->children.push_back(std::move(child));
-  return n;
+  return Linked(std::move(n));
 }
 
 PlanNodePtr MakeSemijoinCount(PlanNodePtr left, PlanNodePtr right) {
@@ -415,7 +422,7 @@ PlanNodePtr MakeSemijoinCount(PlanNodePtr left, PlanNodePtr right) {
   n->attrs.push_back(kCountAttr);
   n->children.push_back(std::move(left));
   n->children.push_back(std::move(right));
-  return n;
+  return Linked(std::move(n));
 }
 
 PlanNodePtr MakeMaterialize(PlanNodePtr child) {
@@ -425,7 +432,7 @@ PlanNodePtr MakeMaterialize(PlanNodePtr child) {
   n->est_rows = child->est_rows;
   n->attr_distinct = child->attr_distinct;
   n->children.push_back(std::move(child));
-  return n;
+  return Linked(std::move(n));
 }
 
 namespace {
@@ -458,7 +465,7 @@ PlanNodePtr CloneRec(
     out->children.push_back(CloneRec(*c, slot_caches, memo));
   }
   memo->emplace(&n, out);
-  return out;
+  return Linked(std::move(out));
 }
 
 void CountRefs(const PlanNode& node,
@@ -546,6 +553,16 @@ PlanNodePtr ClonePlan(const PlanNode& root,
                       const std::vector<JoinIndexCache*>* slot_caches) {
   std::unordered_map<const PlanNode*, PlanNodePtr> memo;
   return CloneRec(root, slot_caches, &memo);
+}
+
+std::vector<PlanNodePtr> ClonePlans(const std::vector<const PlanNode*>& roots) {
+  std::unordered_map<const PlanNode*, PlanNodePtr> memo;
+  std::vector<PlanNodePtr> out;
+  out.reserve(roots.size());
+  for (const PlanNode* root : roots) {
+    out.push_back(CloneRec(*root, nullptr, &memo));
+  }
+  return out;
 }
 
 std::string RenderPlan(const PlanNode& root, const VarTable* vars) {

@@ -98,11 +98,6 @@ const char* PlanOpName(PlanOp op);
 /// it can never collide with a query variable id; renders as "#count".
 inline constexpr AttrId kCountAttr = -2;
 
-/// True iff `attrs` ends with the multiplicity column.
-inline bool HasCountAttr(const std::vector<AttrId>& attrs) {
-  return !attrs.empty() && attrs.back() == kCountAttr;
-}
-
 /// Physical representation a node executes in. Planner-assigned: nodes on a
 /// chain under a kMaterialize boundary are tagged kColumnar and run as
 /// vectorized stages; everything else stays row-at-a-time. The tag is purely
@@ -183,6 +178,13 @@ struct PlanNode {
   static constexpr uint64_t kNotExecuted = ~uint64_t{0};
 
   PlanOp op = PlanOp::kScan;
+  /// Parent edges pointing at this node, counted when a parent is built
+  /// (the Make* constructors) or cloned (ClonePlan). The executor drops a
+  /// memoized result once this many consumers have read it, so a DAG's
+  /// intermediates are freed as soon as they are used up. A parent that is
+  /// built and then discarded leaves the count high, which only keeps the
+  /// result alive until the execution ends.
+  uint32_t consumers = 0;
   std::vector<PlanNodePtr> children;
   /// Output attributes (query variable ids).
   std::vector<AttrId> attrs;
@@ -287,6 +289,11 @@ PlanNodePtr MakeSemijoinCount(PlanNodePtr left, PlanNodePtr right);
 /// the clone does not read.
 PlanNodePtr ClonePlan(const PlanNode& root,
                       const std::vector<JoinIndexCache*>* slot_caches = nullptr);
+
+/// Clones several roots of one DAG together: a node reachable from more
+/// than one root is cloned once and stays shared between the cloned roots
+/// (so an ExecSession over the clones reuses it like over the originals).
+std::vector<PlanNodePtr> ClonePlans(const std::vector<const PlanNode*>& roots);
 
 /// Renders the plan as an indented tree, one node per line:
 ///

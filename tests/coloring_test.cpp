@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 
+#include "common/combinatorics.hpp"
 #include "common/rng.hpp"
 #include "hashing/coloring.hpp"
 
@@ -93,6 +97,95 @@ TEST(ColoringTest, MonteCarloHitsWitnessWithHighProbability) {
     }
     EXPECT_TRUE(hit) << "k=" << k;
   }
+}
+
+// The straightforward greedy cover Certified must reproduce: every k-subset
+// as its own vector, k hashes per subset per candidate seed, a candidate
+// kept iff it covers a subset not covered yet.
+std::vector<uint64_t> ReferenceCertifiedSeeds(const std::vector<Value>& ground,
+                                              int k, uint64_t seed) {
+  auto color = [k](uint64_t s, Value v) {
+    return 1 + static_cast<Value>(
+                   HashValue(static_cast<Value>(static_cast<uint64_t>(v) ^ s)) %
+                   static_cast<uint64_t>(k));
+  };
+  std::vector<std::vector<int>> uncovered;
+  ForEachKSubset(static_cast<int>(ground.size()), k,
+                 [&](const std::vector<int>& subset) {
+                   uncovered.push_back(subset);
+                   return true;
+                 });
+  Rng rng(seed);
+  std::vector<uint64_t> seeds;
+  while (!uncovered.empty()) {
+    const uint64_t s = rng.Next();
+    std::vector<std::vector<int>> left;
+    for (const std::vector<int>& subset : uncovered) {
+      std::vector<Value> colors;
+      for (int i : subset) colors.push_back(color(s, ground[i]));
+      std::sort(colors.begin(), colors.end());
+      if (std::adjacent_find(colors.begin(), colors.end()) != colors.end()) {
+        left.push_back(subset);
+      }
+    }
+    if (left.size() < uncovered.size()) seeds.push_back(s);
+    uncovered = std::move(left);
+  }
+  if (seeds.empty()) seeds.push_back(rng.Next());
+  return seeds;
+}
+
+TEST(ColoringTest, CertifiedMatchesReferenceGreedyCover) {
+  struct Case {
+    int n;
+    int k;
+    uint64_t seed;
+  };
+  const Case cases[] = {{8, 2, 1},  {12, 3, 7}, {20, 3, 42}, {32, 4, 1},
+                        {24, 4, 9}, {16, 5, 3}, {6, 6, 5},   {4, 7, 11},
+                        {40, 2, 0xC0FFEE}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " k=" + std::to_string(c.k) +
+                 " seed=" + std::to_string(c.seed));
+    Rng rng(c.seed * 31 + 5);
+    std::set<Value> distinct;
+    while (distinct.size() < static_cast<size_t>(c.n)) {
+      distinct.insert(static_cast<Value>(rng.Next() >> 1) - (Value{1} << 61));
+    }
+    const std::vector<Value> ground(distinct.begin(), distinct.end());
+    auto fam = ColoringFamily::Certified(ground, c.k, c.seed).ValueOrDie();
+    const std::vector<uint64_t> seeds =
+        ReferenceCertifiedSeeds(ground, c.k, c.seed);
+    ASSERT_EQ(fam.size(), seeds.size());
+    EXPECT_TRUE(fam.IsPerfectOn(ground));
+    for (size_t m = 0; m < fam.size(); ++m) {
+      for (Value v : ground) {
+        ASSERT_EQ(fam.Color(m, v),
+                  1 + static_cast<Value>(
+                          HashValue(static_cast<Value>(
+                              static_cast<uint64_t>(v) ^ seeds[m])) %
+                          static_cast<uint64_t>(c.k)))
+            << "member " << m << " value " << v;
+      }
+    }
+  }
+}
+
+TEST(ColoringTest, CertifiedWideK) {
+  // k >= 64 colors do not fit the 64-bit color mask. Fewer values than
+  // colors: no k-subset, one member, certified.
+  std::vector<Value> few;
+  for (Value v = 0; v < 10; ++v) few.push_back(v * 7);
+  auto fam = ColoringFamily::Certified(few, 70, 1).ValueOrDie();
+  EXPECT_TRUE(fam.certified());
+  EXPECT_EQ(fam.size(), 1u);
+  EXPECT_TRUE(fam.IsPerfectOn(few));
+  // Subsets to cover but no member budget: a clean failure.
+  std::vector<Value> ground;
+  for (Value v = 0; v < 65; ++v) ground.push_back(v * 7);
+  auto none = ColoringFamily::Certified(ground, 64, 1, /*max_subsets=*/1000,
+                                        /*max_members=*/0);
+  EXPECT_EQ(none.status().code(), StatusCode::kResourceExhausted);
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // Tests for the Theorem 2 engine: acyclic conjunctive queries with ≠.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/query_context.hpp"
 #include "common/rng.hpp"
 #include "eval/inequality.hpp"
 #include "eval/naive.hpp"
 #include "graph/generators.hpp"
+#include "hashing/coloring.hpp"
 #include "query/ineq_formula.hpp"
 #include "query/parser.hpp"
 
@@ -343,25 +347,35 @@ TEST_P(IneqLoweringDifferentialTest, PlanMatchesRecordedOracleByteForByte) {
   q.head = {Term::Var(pool[0]), Term::Var(pool[pool.size() / 2])};
   ASSERT_TRUE(q.IsAcyclic());
 
-  for (auto driver :
-       {IneqOptions::Driver::kCertified, IneqOptions::Driver::kMonteCarlo}) {
-    IneqOptions options;
-    options.driver = driver;
-    options.mc_error_exponent = 2.0;
-    options.seed = GetParam();
-    const RecordedIneqAnswer& rec = FindRecorded(
-        GetParam(), driver == IneqOptions::Driver::kCertified ? 0 : 1);
-    auto planned = IneqEvaluate(db, q, options);
-    ASSERT_TRUE(planned.ok()) << planned.status();
-    ExpectMatchesRecorded(planned.value(), rec, q.ToString());
-    EXPECT_EQ(IneqNonempty(db, q, options).ValueOrDie(), rec.nonempty);
-    // A warm plan cache must not change a single byte either.
-    PlanCache cache;
-    options.plan_cache = &cache;
-    for (int round = 0; round < 2; ++round) {
-      auto cached = IneqEvaluate(db, q, options);
-      ASSERT_TRUE(cached.ok()) << cached.status();
-      ExpectMatchesRecorded(cached.value(), rec, q.ToString() + " (cached)");
+  // Width 4 runs the colorings as scheduler tasks: same bytes as width 1.
+  TaskScheduler scheduler(4);
+  for (TaskScheduler* sched : {static_cast<TaskScheduler*>(nullptr),
+                               &scheduler}) {
+    for (auto driver :
+         {IneqOptions::Driver::kCertified, IneqOptions::Driver::kMonteCarlo}) {
+      IneqOptions options;
+      options.driver = driver;
+      options.mc_error_exponent = 2.0;
+      options.seed = GetParam();
+      options.runtime.scheduler = sched;
+      const std::string context =
+          q.ToString() + (sched != nullptr ? " (threads=4)" : "");
+      const RecordedIneqAnswer& rec = FindRecorded(
+          GetParam(), driver == IneqOptions::Driver::kCertified ? 0 : 1);
+      auto planned = IneqEvaluate(db, q, options);
+      ASSERT_TRUE(planned.ok()) << planned.status();
+      ExpectMatchesRecorded(planned.value(), rec, context);
+      EXPECT_EQ(IneqNonempty(db, q, options).ValueOrDie(), rec.nonempty);
+      // A warm plan cache (and its cached family) must not change a single
+      // byte either.
+      PlanCache cache;
+      options.plan_cache = &cache;
+      for (int round = 0; round < 2; ++round) {
+        auto cached = IneqEvaluate(db, q, options);
+        ASSERT_TRUE(cached.ok()) << cached.status();
+        ExpectMatchesRecorded(cached.value(), rec, context + " (cached)");
+        EXPECT_EQ(IneqNonempty(db, q, options).ValueOrDie(), rec.nonempty);
+      }
     }
   }
 }
@@ -384,23 +398,135 @@ TEST(IneqTest, FormulaModePlanMatchesRecordedOracle) {
   int cd = phi.AddAtom({CompareOp::kNeq, Term::Var(2), Term::Var(3)});
   int ac3 = phi.AddAtom({CompareOp::kNeq, Term::Var(0), Term::Const(3)});
   phi.root = phi.AddAnd({phi.AddOr({ab, cd}), phi.AddOr({cd, ac3})});
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    IneqOptions options;
-    options.seed = seed;
-    const RecordedIneqAnswer& rec = kRecordedFormulaAnswers[seed - 1];
-    ASSERT_EQ(rec.seed, seed);
-    auto planned = IneqFormulaEvaluate(db, q, phi, options);
-    ASSERT_TRUE(planned.ok()) << planned.status();
-    ExpectMatchesRecorded(planned.value(), rec, "formula mode");
-    EXPECT_EQ(IneqFormulaNonempty(db, q, phi, options).ValueOrDie(),
-              rec.nonempty);
-    // Cached formula compilation: same bytes again.
-    PlanCache cache;
-    options.plan_cache = &cache;
-    auto cached = IneqFormulaEvaluate(db, q, phi, options);
-    ASSERT_TRUE(cached.ok()) << cached.status();
-    ExpectMatchesRecorded(cached.value(), rec, "formula cached");
+  TaskScheduler scheduler(4);
+  for (TaskScheduler* sched : {static_cast<TaskScheduler*>(nullptr),
+                               &scheduler}) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      IneqOptions options;
+      options.seed = seed;
+      options.runtime.scheduler = sched;
+      const std::string context =
+          sched != nullptr ? "formula mode threads=4" : "formula mode";
+      const RecordedIneqAnswer& rec = kRecordedFormulaAnswers[seed - 1];
+      ASSERT_EQ(rec.seed, seed);
+      auto planned = IneqFormulaEvaluate(db, q, phi, options);
+      ASSERT_TRUE(planned.ok()) << planned.status();
+      ExpectMatchesRecorded(planned.value(), rec, context);
+      EXPECT_EQ(IneqFormulaNonempty(db, q, phi, options).ValueOrDie(),
+                rec.nonempty);
+      // Cached formula compilation: same bytes again.
+      PlanCache cache;
+      options.plan_cache = &cache;
+      auto cached = IneqFormulaEvaluate(db, q, phi, options);
+      ASSERT_TRUE(cached.ok()) << cached.status();
+      ExpectMatchesRecorded(cached.value(), rec, context + " cached");
+    }
   }
+}
+
+// Decision mode resolves the parallel colorings in coloring order: the
+// witness index, hence `trials`, is the one the sequential loop reports,
+// and so are the answer, the family statistics and the operator counts.
+TEST(IneqTest, ParallelDecisionReportsSequentialTrials) {
+  TaskScheduler scheduler(4);
+  const char* queries[] = {
+      "p() :- E(a, b), E(b, c), E(c, d), a != c, b != d, a != d.",
+      "p() :- E(a, b), E(b, c), E(c, d), E(d, e), a != c, a != d, a != e, "
+      "b != d, b != e, c != e.",
+      "p() :- E(a, b), E(c, d), a != c, b != d.",
+  };
+  size_t late_witnesses = 0;  // witness past the first coloring
+  size_t no_witness = 0;
+  for (uint64_t graph_seed = 1; graph_seed <= 12; ++graph_seed) {
+    Database db =
+        GraphDb(GnpRandom(10, 0.08 + 0.02 * (graph_seed % 4), graph_seed));
+    for (const char* text : queries) {
+      SCOPED_TRACE(std::string(text) + " graph " + std::to_string(graph_seed));
+      auto q = ParseConjunctive(text).ValueOrDie();
+      for (auto driver : {IneqOptions::Driver::kCertified,
+                          IneqOptions::Driver::kMonteCarlo}) {
+        IneqOptions options;
+        options.driver = driver;
+        IneqStats seq_stats, par_stats;
+        PlanStats seq_plan, par_plan;
+        bool seq = IneqNonempty(db, q, options, &seq_stats, &seq_plan)
+                       .ValueOrDie();
+        options.runtime.scheduler = &scheduler;
+        bool par = IneqNonempty(db, q, options, &par_stats, &par_plan)
+                       .ValueOrDie();
+        EXPECT_EQ(seq, par);
+        EXPECT_EQ(seq_stats.trials, par_stats.trials);
+        EXPECT_EQ(seq_stats.family_size, par_stats.family_size);
+        // A one-member family keeps the executor's own parallelism, whose
+        // speculative work shows in the operator counts.
+        if (seq_stats.family_size == 1) continue;
+        EXPECT_EQ(seq_stats.peak_rows, par_stats.peak_rows);
+        EXPECT_EQ(seq_plan.joins, par_plan.joins);
+        EXPECT_EQ(seq_plan.rows_produced, par_plan.rows_produced);
+        if (seq && seq_stats.trials > 1) ++late_witnesses;
+        if (!seq) ++no_witness;
+      }
+    }
+  }
+  EXPECT_GT(late_witnesses, 0u);
+  EXPECT_GT(no_witness, 0u);
+}
+
+// Per-coloring limits and interrupts hold under parallel colorings: the
+// first failing coloring in coloring order decides the error.
+TEST(IneqTest, ParallelColoringsHonorLimitsAndCancellation) {
+  TaskScheduler scheduler(4);
+  Database db = GraphDb(CompleteGraph(14));
+  auto q = ParseConjunctive(
+               "ans(a, d) :- E(a, b), E(b, c), E(c, d), a != d, b != d.")
+               .ValueOrDie();
+  IneqOptions options;
+  options.runtime.scheduler = &scheduler;
+  options.limits.max_rows = 10;
+  EXPECT_EQ(IneqEvaluate(db, q, options).status().code(),
+            StatusCode::kResourceExhausted);
+  options.limits.max_rows = 0;
+  QueryContext ctx;
+  ctx.Cancel();
+  options.runtime.query_ctx = &ctx;
+  EXPECT_EQ(IneqEvaluate(db, q, options).status().code(),
+            StatusCode::kCancelled);
+  EXPECT_EQ(IneqNonempty(db, q, options).status().code(),
+            StatusCode::kCancelled);
+  options.runtime.query_ctx = nullptr;
+  IneqStats stats;
+  auto out = IneqEvaluate(db, q, options, &stats);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(stats.trials, stats.family_size);
+  EXPECT_TRUE(out.value().EqualsAsSet(NaiveEvaluateCq(db, q).ValueOrDie()));
+}
+
+// The family is built once per compiled entry and reused across queries,
+// while IneqStats still reports it on every call; different family options
+// rebuild it.
+TEST(IneqTest, CachedFamilyReportsStatsOnEveryCall) {
+  Database db = GraphDb(GnpRandom(12, 0.3, 5));
+  auto q = ParseConjunctive("ans(a) :- E(a, b), E(b, c), a != c.")
+               .ValueOrDie();
+  PlanCache cache;
+  IneqOptions options = Certified();
+  options.plan_cache = &cache;
+  IneqStats first, second;
+  auto a = IneqEvaluate(db, q, options, &first).ValueOrDie();
+  auto b = IneqEvaluate(db, q, options, &second).ValueOrDie();
+  EXPECT_TRUE(a.EqualsAsSet(b));
+  EXPECT_EQ(first.k, 2);
+  EXPECT_EQ(second.k, 2);
+  EXPECT_TRUE(second.certified);
+  EXPECT_EQ(first.family_size, second.family_size);
+  EXPECT_EQ(first.trials, second.trials);
+  options.driver = IneqOptions::Driver::kMonteCarlo;
+  options.mc_error_exponent = 3.0;
+  IneqStats mc;
+  ASSERT_TRUE(IneqEvaluate(db, q, options, &mc).ok());
+  EXPECT_FALSE(mc.certified);
+  EXPECT_EQ(mc.family_size, ColoringFamily::MonteCarlo(2, 3.0, options.seed)
+                                .size());
 }
 
 TEST(IneqTest, LoweredPathReportsPlanStats) {
@@ -443,6 +569,10 @@ TEST(IneqTest, PlanTextRendersLoweredDag) {
   EXPECT_NE(text.find("HashJoin"), std::string::npos);
   EXPECT_NE(text.find("p'"), std::string::npos);  // primed hash column
   EXPECT_NE(text.find("!="), std::string::npos);  // the I1 select
+  // p and q are read by no other atom and no head term: S'_j carries only
+  // their colors next to the join column.
+  EXPECT_NE(text.find("Scan(e, p') S'(E(e, p))"), std::string::npos) << text;
+  EXPECT_NE(text.find("Scan(e, q') S'(E(e, q))"), std::string::npos) << text;
 }
 
 // Deeper trees with several I1 inequalities crossing subtrees.

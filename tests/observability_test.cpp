@@ -216,6 +216,28 @@ TEST(AnalyzeTest, CyclicQueryShowsPerNodeTimeOnTheMultiwayBag) {
   EXPECT_NE(report.value().find("rows="), std::string::npos);
 }
 
+// Theorem 2 at width 4 runs each coloring on a private copy of the plan;
+// EXPLAIN ANALYZE still files them all under the one compiled plan.
+TEST(AnalyzeTest, ParallelColoringsReportOnePlanPerColoring) {
+  Database db = GraphDatabase(GnpRandom(14, 0.3, 31));
+  EngineOptions options;
+  options.threads = 4;
+  Engine engine(db, options);
+  auto report = engine.AnalyzeText(
+      "ans(a, d) :- E(a, b), E(b, c), E(c, d), a != c, b != d, a != d.",
+      &db.dict());
+  ASSERT_TRUE(report.ok()) << report.status();
+  const size_t colorings = engine.last_stats().ineq.trials;
+  EXPECT_GT(colorings, 1u);
+  EXPECT_EQ(engine.last_stats().ineq.family_size, colorings);
+  const std::string& text = report.value();
+  EXPECT_NE(text.find("-- plan 1 (executions=" + std::to_string(colorings) +
+                      ")"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("-- plan 2"), std::string::npos) << text;
+}
+
 TEST(AnalyzeTest, DatalogReportsRulePlansWithExecutionCounts) {
   Database db = GraphDatabase(GnpRandom(20, 0.2, 19));
   Engine engine(db, EngineOptions{});

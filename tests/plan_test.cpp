@@ -5,6 +5,9 @@
 // handling, and the engine/EXPLAIN surface.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/query_context.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/explain.hpp"
@@ -331,6 +334,114 @@ TEST(PlanExecutorTest, ExecutedPlanRenderShowsActuals) {
   EXPECT_EQ(stats.scans, 3u);
 }
 
+// Memo release: the executor drops a node's result once the consumers
+// counted at build time (PlanNode::consumers) have read it.
+TEST(PlanExecutorTest, ConsumerCountsFollowParentEdges) {
+  auto scan = MakeScan(0, {0, 1}, "R", 4);
+  auto left = MakeProject(scan, {0}, /*dedup=*/true);
+  auto right = MakeProject(scan, {1}, /*dedup=*/true);
+  auto join = MakeHashJoin(left, right);
+  EXPECT_EQ(scan->consumers, 2u);
+  EXPECT_EQ(left->consumers, 1u);
+  EXPECT_EQ(join->consumers, 0u);
+  // A clone counts the edges of the cloned DAG, shared nodes once each.
+  auto clone = ClonePlan(*join);
+  ASSERT_EQ(clone->children[0]->children[0], clone->children[1]->children[0]);
+  EXPECT_EQ(clone->children[0]->children[0]->consumers, 2u);
+  EXPECT_EQ(clone->consumers, 0u);
+  // Cloning several roots together keeps what they share shared.
+  auto both = ClonePlans({left.get(), right.get()});
+  ASSERT_EQ(both.size(), 2u);
+  EXPECT_EQ(both[0]->children[0], both[1]->children[0]);
+  EXPECT_EQ(both[0]->children[0]->consumers, 2u);
+  EXPECT_NE(both[0]->children[0], scan);
+}
+
+NamedRelation PairRows(Value n) {
+  NamedRelation r({0, 1});
+  for (Value i = 0; i < n; ++i) r.rel().Add({i, i + 1});
+  return r;
+}
+
+TEST(PlanExecutorTest, ReleasedIntermediatesLowerPeakMemory) {
+  const NamedRelation r = PairRows(20000);
+  // A chain of column swaps: every level copies its input once.
+  PlanNodePtr node = MakeScan(0, {0, 1}, "R", 20000);
+  for (int level = 0; level < 6; ++level) {
+    node = MakeProject(node,
+                       level % 2 == 0 ? std::vector<AttrId>{1, 0}
+                                      : std::vector<AttrId>{0, 1},
+                       /*dedup=*/false);
+  }
+  std::vector<const NamedRelation*> inputs = {&r};
+  ExecContext ctx;
+  ctx.inputs = inputs;
+  auto peak_bytes = [&](bool session) {
+    auto accountant = std::make_shared<MemoryAccountant>();
+    ScopedMemoryAccounting scope(accountant);
+    Result<NamedRelation> out = NamedRelation{};
+    if (session) {
+      ExecSession s(ctx);  // keeps every result until the session ends
+      out = s.Run(*node);
+    } else {
+      out = ExecutePlan(*node, ctx);
+    }
+    EXPECT_TRUE(out.ok());
+    EXPECT_EQ(out.value().size(), 20000u);
+    return accountant->peak();
+  };
+  const uint64_t released = peak_bytes(false);
+  const uint64_t kept = peak_bytes(true);
+  EXPECT_GT(released, 0u);
+  EXPECT_LT(2 * released, kept);
+}
+
+TEST(PlanExecutorTest, ReleaseHandlesSharedAndShortCircuitedConsumers) {
+  const NamedRelation r = PairRows(50);
+  const NamedRelation empty({1, 0});
+  std::vector<const NamedRelation*> inputs = {&r, &empty};
+  TaskScheduler scheduler(4);
+  for (TaskScheduler* sched : {static_cast<TaskScheduler*>(nullptr),
+                               &scheduler}) {
+    // `shared` has two consumers; the join's short-circuit (empty left
+    // side) may skip its read, so the union's read must still see it.
+    auto shared = MakeProject(MakeScan(0, {0, 1}, "R", 50), {1, 0},
+                              /*dedup=*/false);
+    auto root = MakeUnion(
+        {MakeHashJoin(MakeScan(1, {1, 0}, "Empty", 0), shared), shared},
+        {1, 0});
+    ASSERT_EQ(shared->consumers, 2u);
+    RuntimeOptions runtime;
+    runtime.scheduler = sched;
+    PlanStats stats;
+    ExecContext ctx{inputs, {}, &stats, runtime};
+    auto out = ExecutePlan(*root, ctx).ValueOrDie();
+    EXPECT_EQ(out.size(), 50u);
+    EXPECT_EQ(stats.projections, 1u);  // computed once
+    // The same DAG executed again (fresh memo) reproduces the answer.
+    auto again = ExecutePlan(*root, ctx).ValueOrDie();
+    EXPECT_TRUE(again.rel().EqualsAsSet(out.rel()));
+  }
+}
+
+TEST(PlanExecutorTest, UnforeseenReadRecomputesReleasedNode) {
+  const NamedRelation r = PairRows(30);
+  std::vector<const NamedRelation*> inputs = {&r};
+  auto shared = MakeProject(MakeScan(0, {0, 1}, "R", 30), {1, 0},
+                            /*dedup=*/false);
+  Predicate all;
+  all.Add(Constraint::NeqConst(0, -1));
+  auto root = MakeUnion({MakeSelect(shared, all), shared}, {1, 0});
+  shared->consumers = 1;  // undercount: the second read finds it released
+  PlanStats stats;
+  ExecContext ctx;
+  ctx.inputs = inputs;
+  ctx.stats = &stats;
+  auto out = ExecutePlan(*root, ctx).ValueOrDie();
+  EXPECT_EQ(out.size(), 30u);
+  EXPECT_EQ(stats.projections, 2u);  // recomputed for the late read
+}
+
 // ---------------------------------------------------------------------------
 // Unified resource limits.
 // ---------------------------------------------------------------------------
@@ -393,6 +504,32 @@ TEST(UcqPlanTest, DuplicateDisjunctsAreDeduped) {
   EXPECT_EQ(stats.disjuncts_expanded, 2u);
   EXPECT_EQ(stats.disjuncts_deduped, 1u);
   EXPECT_EQ(stats.disjuncts_evaluated, 1u);
+}
+
+// EngineOptions::wcoj reaches cyclic UCQ disjuncts: with it off their
+// executed plans use binary joins only, and the answers do not change.
+TEST(UcqPlanTest, WcojOptionReachesCyclicDisjuncts) {
+  Database db = GraphDb(GnpRandom(14, 0.3, 23));
+  const std::string text =
+      "ans(x) := exists y, z . ((E(x, y) and E(y, z) and E(z, x)) or "
+      "E(x, x)).";
+  EngineOptions on;
+  EngineOptions off;
+  off.wcoj = false;
+  Engine with(db, on);
+  Engine without(db, off);
+  auto with_report = with.AnalyzeText(text, &db.dict());
+  auto without_report = without.AnalyzeText(text, &db.dict());
+  ASSERT_TRUE(with_report.ok()) << with_report.status();
+  ASSERT_TRUE(without_report.ok()) << without_report.status();
+  EXPECT_NE(with_report.value().find("MultiwayJoin"), std::string::npos);
+  EXPECT_EQ(without_report.value().find("MultiwayJoin"), std::string::npos);
+  EXPECT_NE(without_report.value().find("HashJoin"), std::string::npos);
+  auto a = with.RunText(text).ValueOrDie();
+  auto b = without.RunText(text).ValueOrDie();
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a.data(), b.data());
+  EXPECT_EQ(a.size(), b.size());
 }
 
 TEST(UcqPlanTest, LimitsReachAcyclicDisjuncts) {

@@ -500,6 +500,10 @@ TEST(HardenedExecutionTest, FaultSweepAllWorkloads) {
       {"acyclic", "ans(x, z) :- E(x, y), E(y, z)."},
       {"cyclic", "ans(x) :- E(x, y), E(y, z), E(z, x)."},
       {"theorem2", "ans(x, y) :- E(x, y), x != y."},
+      // k = 4 (a, b, c, d): a multi-member family, so at 4 threads the
+      // colorings run as concurrent scheduler tasks.
+      {"theorem2-colorings",
+       "ans(a, d) :- E(a, b), E(b, c), E(c, d), a != c, a != d, b != d."},
       {"ucq", "ans(x) := exists y . (E(x, y) or E(y, x))."},
       {"counting", "COUNT(x) :- E(x, y), E(y, z)."},
       {"counting-scalar", "COUNT(*) :- E(x, y), E(y, z), E(z, x)."},
